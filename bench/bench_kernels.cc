@@ -6,6 +6,12 @@
 // dim 32, type sets of a handful to a few dozen ids) — these bound how much
 // of the kernel speedup can survive into end-to-end scoring.
 //
+// The `score_tuple` row is the exact-rerank layer one level up: the fused
+// column-statistics kernel plus the Hungarian mapping τ and the coordinate
+// gather, in ns per (query tuple, table) at k = 3 query entities and n = 6
+// columns, with σ served from precomputed dense rows (the memo's steady
+// state on a full-corpus scan).
+//
 // Run: ./bench_kernels [--benchmark_filter=...]
 
 #include <benchmark/benchmark.h>
@@ -17,6 +23,7 @@
 #include <vector>
 
 #include "common.h"
+#include "core/column_mapping.h"
 #include "simd/kernels.h"
 #include "util/rng.h"
 
@@ -184,6 +191,70 @@ void BenchIntersect(benchmark::State& state, simd::Tier tier) {
   state.SetItemsProcessed(state.iterations() * size * 2);
 }
 
+// σ from precomputed dense rows: the SimilarityMemo dense-row regime (a
+// flat gather per target) without the memo's bookkeeping.
+struct DenseRowSim {
+  size_t num_entities = 0;
+  std::vector<double> rows;  // [query slot][entity]
+  void ScoreBatch(EntityId q, const EntityId* targets, size_t count,
+                  double* out) const {
+    const double* row = rows.data() + static_cast<size_t>(q) * num_entities;
+    for (size_t i = 0; i < count; ++i) out[i] = row[targets[i]];
+  }
+};
+
+// Per (tuple, table) cost of exact scoring: one σ pass per query entity
+// over the table's pool, the k x n matrix, τ, and the kMax coordinates.
+// 256 synthetic tables of 6 columns x 5 distinct entities (counts 1-3)
+// over 4096 entities; about 70 % of σ values are 0, as on real lakes.
+void BenchScoreTuple(benchmark::State& state) {
+  constexpr size_t kTables = 256;
+  constexpr size_t kColumns = 6;
+  constexpr size_t kPerColumn = 5;
+  constexpr size_t kK = 3;
+  DenseRowSim sim;
+  sim.num_entities = 4096;
+  Rng rng(7);
+  sim.rows.resize(kK * sim.num_entities);
+  for (double& v : sim.rows) {
+    v = rng.NextBernoulli(0.3) ? rng.NextDouble() : 0.0;
+  }
+  std::vector<uint32_t> offsets;
+  std::vector<EntityId> distinct;
+  std::vector<double> counts;
+  for (size_t t = 0; t < kTables; ++t) {
+    offsets.push_back(static_cast<uint32_t>(distinct.size()));
+    for (size_t c = 0; c < kColumns; ++c) {
+      for (size_t d = 0; d < kPerColumn; ++d) {
+        distinct.push_back(rng.NextBounded(4096));
+        counts.push_back(1.0 + rng.NextBounded(3));
+      }
+      offsets.push_back(static_cast<uint32_t>(distinct.size()));
+    }
+  }
+  const size_t stride = kColumns + 1;  // offsets per table
+  const EntityId tuple[kK] = {0, 1, 2};  // query slots of `sim.rows`
+  ColumnStats stats;
+  HungarianScratch hungarian;
+  ColumnMapping mapping;
+  double coords[kK];
+  size_t t = 0;
+  for (auto _ : state) {
+    ColumnIndexView view{offsets.data() + t * stride, distinct.data(),
+                         counts.data(), kColumns};
+    ComputeColumnStats(view, tuple, kK, sim, &stats);
+    SolveColumnMapping(stats.sum.data(), kK, kColumns, hungarian, &mapping);
+    for (size_t i = 0; i < kK; ++i) {
+      const int c = mapping.column_of_entity[i];
+      coords[i] = c < 0 ? 0.0 : stats.max[i * kColumns + c];
+    }
+    benchmark::DoNotOptimize(coords);
+    t = (t + 1) % kTables;
+  }
+  // One iteration is one (tuple, table): the Time column is ns per pair.
+  state.SetItemsProcessed(state.iterations());
+}
+
 void RegisterAll() {
   std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
   int best = static_cast<int>(simd::BestSupportedTier());
@@ -225,6 +296,9 @@ void RegisterAll() {
   benchmark::RegisterBenchmark("quant_error", BenchQuantError)
       ->Arg(32)
       ->Arg(300);
+  benchmark::RegisterBenchmark("score_tuple/k3_n6", BenchScoreTuple)
+      ->Repetitions(5)
+      ->ReportAggregatesOnly(true);
 }
 
 }  // namespace

@@ -24,15 +24,6 @@ struct ColumnMapping {
   double total_score = 0.0;
 };
 
-// Computes τ for one query tuple against one table via the Hungarian
-// method. Columns with zero cumulative similarity are never assigned
-// (mapping stays -1 for entities whose best column scores 0), matching the
-// σ > 0 requirement on relevant mappings.
-//
-// Caller-owned workspace for MapQueryTupleToColumnsScratch: the k x n
-// column-relevance matrix plus the Hungarian solver's internal vectors.
-// Fully overwritten on every call; reusing one instance across tables
-// avoids a per-(tuple, table) allocation storm on large lakes.
 // Epoch-stamped membership table for O(1)-per-cell column dedup. `stamp`
 // and `slot` are indexed by entity id (grown on demand); an entity is "in
 // the current column" iff its stamp equals the current epoch, so clearing
@@ -108,11 +99,9 @@ inline void AppendTableColumns(const Table& table, DedupScratch& dedup,
 
 // A table's linked columns collapsed to distinct entities with
 // multiplicities, CSR-flattened (offsets + parallel distinct/counts pools).
-// Built once per (query, table) and shared by the mapping matrix fill and
-// the per-row aggregation — both only need "which distinct entities does
-// column c hold, how often" since σ is pure; gathering and dedup'ing cells
-// once instead of once per tuple (and again per mapped entity) keeps the
-// non-σ overhead flat in the tuple count. Tables covered by the engine's
+// The fused scoring kernel (ComputeColumnStats) only needs "which distinct
+// entities does column c hold, how often" since σ is pure, so repeated
+// cells are scored once. Tables covered by the engine's
 // CorpusColumnArena never build one of these at query time; this remains
 // the fallback for tables added to the corpus after engine construction.
 struct ColumnEntityIndex {
@@ -137,97 +126,89 @@ struct ColumnEntityIndex {
   size_t ColumnSize(size_t c) const { return offsets[c + 1] - offsets[c]; }
 };
 
-struct MappingScratch {
-  std::vector<std::vector<double>> scores;
-  HungarianScratch hungarian;
-  // Batched σ scores of one column's distinct list against one query
-  // entity, and the dedup table + index used by the compatibility wrapper
-  // that builds a ColumnEntityIndex on the fly.
-  std::vector<double> cell_scores;
-  DedupScratch dedup;
-  ColumnEntityIndex index;
+// Per-column σ statistics of a list of query entities against one table:
+// the fused scoring kernel's output, everything the mapping matrix and the
+// row aggregation of Algorithm 1 (lines 5-13) read. Entry [q * num_columns
+// + c] describes query entity q against column c:
+//  * sum    — Σ_d count_d · σ(e_q, d) over the column's distinct entities
+//             in first-occurrence order: the column-relevance matrix cell
+//             of Section 5.1 and the kAvg numerator;
+//  * max    — the largest σ in the column, 0 when none is positive: the
+//             kMax coordinate;
+//  * argmax — the first distinct entity reaching `max` under a strict >
+//             scan (kNoEntity when max is 0): Explain's best match.
+// `sigma` is the kernel's scratch (σ over the table's whole pool).
+struct ColumnStats {
+  size_t num_columns = 0;
+  std::vector<double> sum;
+  std::vector<double> max;
+  std::vector<EntityId> argmax;
+  std::vector<double> sigma;
+
+  const double* SumRow(size_t q) const { return sum.data() + q * num_columns; }
 };
 
-// Templated over the concrete similarity type: passing a final class (e.g.
-// SimilarityMemo) devirtualizes and inlines the σ call in the innermost
-// matrix loop, which dominates the per-table cost once σ itself is cached.
-// Consumes a prebuilt ColumnEntityIndex so multi-tuple queries (and the
-// row aggregation) share one gather+dedup pass per table.
+// The fused scoring kernel: ONE batched σ pass per query entity over the
+// table's contiguous distinct-entity pool [DistinctBegin, DistinctEnd),
+// from which every column's sum, max and argmax are derived in a single
+// walk. Per column the walk visits the same entities in the same order as
+// a column-at-a-time scan (the pool is the concatenation of the columns),
+// accumulates `acc += count · σ` from 0.0 and keeps the first maximum with
+// a strict >, so each statistic is bit-identical to scoring the column on
+// its own. kNoEntity query entities get all-zero rows. Templated over the
+// concrete similarity so a final class (SimilarityMemo) devirtualizes the
+// batch probe.
 template <typename Sim>
-ColumnMapping MapQueryTupleToColumnsIndexed(
-    const std::vector<EntityId>& query_tuple, ColumnIndexView index,
-    const Sim& sim, MappingScratch& scratch) {
-  std::vector<std::vector<double>>& scores = scratch.scores;
-  ColumnMapping mapping;
-  size_t k = query_tuple.size();
-  size_t n = index.num_columns;
-  mapping.column_of_entity.assign(k, -1);
-  if (k == 0 || n == 0) return mapping;
-
-  // Column-relevance score matrix S (Section 5.1), filled column by
-  // column from the index's distinct entities with multiplicities: the
-  // column sum Σ_ē σ(e, ē) is Σ_d count_d · σ(e, d) since σ is pure, so
-  // this computes the same mathematical sum as the cell-at-a-time walk
-  // while evaluating each repeated entity once. Accumulation order
-  // (first-occurrence order) is fixed, so the fill is deterministic and
-  // identical across the cached/uncached and serial/parallel paths.
-  scores.resize(k);
-  for (auto& row : scores) row.assign(n, 0.0);
-  std::vector<double>& cell_scores = scratch.cell_scores;
-  for (size_t c = 0; c < n; ++c) {
-    size_t count = index.ColumnSize(c);
-    if (count == 0) continue;
-    const EntityId* distinct = index.ColumnDistinct(c);
-    const double* counts = index.ColumnCounts(c);
-    cell_scores.resize(count);
-    for (size_t i = 0; i < k; ++i) {
-      if (query_tuple[i] == kNoEntity) continue;
-      sim.ScoreBatch(query_tuple[i], distinct, count, cell_scores.data());
+void ComputeColumnStats(ColumnIndexView index, const EntityId* entities,
+                        size_t num_entities, const Sim& sim,
+                        ColumnStats* stats) {
+  const size_t n = index.num_columns;
+  stats->num_columns = n;
+  stats->sum.assign(num_entities * n, 0.0);
+  stats->max.assign(num_entities * n, 0.0);
+  stats->argmax.assign(num_entities * n, kNoEntity);
+  const size_t pool = index.DistinctCount();
+  if (pool == 0) return;
+  const uint32_t base = index.DistinctBegin();
+  const EntityId* distinct = index.distinct + base;
+  const double* counts = index.counts + base;
+  stats->sigma.resize(pool);
+  double* sigma = stats->sigma.data();
+  for (size_t q = 0; q < num_entities; ++q) {
+    if (entities[q] == kNoEntity) continue;
+    sim.ScoreBatch(entities[q], distinct, pool, sigma);
+    double* sum = stats->sum.data() + q * n;
+    double* max = stats->max.data() + q * n;
+    EntityId* argmax = stats->argmax.data() + q * n;
+    for (size_t c = 0; c < n; ++c) {
+      const uint32_t end = index.offsets[c + 1] - base;
       double acc = 0.0;
-      for (size_t d = 0; d < count; ++d) {
-        acc += counts[d] * cell_scores[d];
+      double best = 0.0;
+      EntityId best_entity = kNoEntity;
+      for (uint32_t d = index.offsets[c] - base; d < end; ++d) {
+        const double s = sigma[d];
+        acc += counts[d] * s;
+        if (s > best) {
+          best = s;
+          best_entity = distinct[d];
+        }
       }
-      scores[i][c] = acc;
+      sum[c] = acc;
+      max[c] = best;
+      argmax[c] = best_entity;
     }
   }
-
-  AssignmentResult assignment = SolveMaxAssignment(scores, scratch.hungarian);
-  for (size_t i = 0; i < k; ++i) {
-    int c = assignment.column_of_row[i];
-    if (c >= 0 && scores[i][static_cast<size_t>(c)] > 0.0) {
-      mapping.column_of_entity[i] = c;
-      mapping.total_score += scores[i][static_cast<size_t>(c)];
-    }
-  }
-  return mapping;
 }
 
-template <typename Sim>
-ColumnMapping MapQueryTupleToColumnsIndexed(
-    const std::vector<EntityId>& query_tuple, const ColumnEntityIndex& index,
-    const Sim& sim, MappingScratch& scratch) {
-  return MapQueryTupleToColumnsIndexed(query_tuple, index.View(), sim,
-                                       scratch);
-}
+// Solves τ over a filled k x n column-relevance matrix (row-major) into
+// `mapping`, whose capacity is reused. Entities whose assigned column
+// scores 0 stay unmapped (-1), matching the σ > 0 requirement on relevant
+// mappings; total_score sums the kept cells in row order.
+void SolveColumnMapping(const double* scores, size_t k, size_t n,
+                        HungarianScratch& scratch, ColumnMapping* mapping);
 
-template <typename Sim>
-ColumnMapping MapQueryTupleToColumnsScratch(
-    const std::vector<EntityId>& query_tuple, const Table& table,
-    const Sim& sim, MappingScratch& scratch) {
-  scratch.index.Build(table, scratch.dedup);
-  return MapQueryTupleToColumnsIndexed(query_tuple, scratch.index, sim,
-                                       scratch);
-}
-
-template <typename Sim>
-ColumnMapping MapQueryTupleToColumnsWith(
-    const std::vector<EntityId>& query_tuple, const Table& table,
-    const Sim& sim) {
-  MappingScratch scratch;
-  return MapQueryTupleToColumnsScratch(query_tuple, table, sim, scratch);
-}
-
-// Type-erased entry point (virtual σ dispatch per cell).
+// Computes τ for one query tuple against one table: one fused σ pass per
+// tuple entity, then the Hungarian mapping (virtual σ dispatch).
 ColumnMapping MapQueryTupleToColumns(const std::vector<EntityId>& query_tuple,
                                      const Table& table,
                                      const EntitySimilarity& sim);

@@ -103,6 +103,7 @@ TableSignatureIndex BuildTableSignatureIndex(
     }
     index.table_signatures = std::move(table_signatures);
     index.num_distinct = interned.size();
+    CountSignatureMultiplicity(&index);
     return index;
   }
 
@@ -124,6 +125,7 @@ TableSignatureIndex BuildTableSignatureIndex(
   }
   index.table_signatures = std::move(table_signatures);
   index.num_distinct = interned.size();
+  CountSignatureMultiplicity(&index);
   return index;
 }
 
@@ -149,7 +151,16 @@ TableSignatureIndex BuildTableSignatureIndexRange(
   }
   index.table_signatures = std::move(table_signatures);
   index.num_distinct = interned.size();
+  CountSignatureMultiplicity(&index);
   return index;
+}
+
+void CountSignatureMultiplicity(TableSignatureIndex* index) {
+  std::vector<uint8_t>& multiplicity = index->signature_multiplicity;
+  multiplicity.assign(index->num_distinct, 0);
+  for (uint32_t sig : index->table_signatures.span()) {
+    if (sig < multiplicity.size() && multiplicity[sig] < 2) ++multiplicity[sig];
+  }
 }
 
 size_t QueryScopedCache::FlatSignatureHash::operator()(
@@ -202,14 +213,30 @@ uint32_t QueryScopedCache::SignatureOf(TableId table_id,
 const ColumnMapping& QueryScopedCache::MappingFor(
     size_t tuple_index, const std::vector<EntityId>& tuple, const Table& table,
     TableId table_id) {
-  mapping_scratch_.index.Build(table, mapping_scratch_.dedup);
-  return MappingFor(tuple_index, tuple, table, table_id,
-                    mapping_scratch_.index);
+  DedupScratch dedup;
+  ColumnEntityIndex index;
+  index.Build(table, dedup);
+  ColumnStats stats;
+  ComputeColumnStats(index.View(), tuple.data(), tuple.size(), *memo_,
+                     &stats);
+  return MappingFor(tuple_index, tuple, table_id, index.View(),
+                    stats.sum.data());
 }
 
 const ColumnMapping& QueryScopedCache::MappingFor(
-    size_t tuple_index, const std::vector<EntityId>& tuple,
-    const Table& /*table*/, TableId table_id, ColumnIndexView index) {
+    size_t tuple_index, const std::vector<EntityId>& tuple, TableId table_id,
+    ColumnIndexView index, const double* scores) {
+  const size_t k = tuple.size();
+  const size_t n = index.num_columns;
+  // A signature no other covered table carries can never produce a hit
+  // (each table is scored once per tuple per cache), so solve directly.
+  if (signature_index_ != nullptr &&
+      signature_index_->SingletonSignature(table_id)) {
+    ++mapping_misses_;
+    SolveColumnMapping(scores, k, n, hungarian_, &bypass_mapping_);
+    return bypass_mapping_;
+  }
+
   key_scratch_.tuple_and_sig =
       (static_cast<uint64_t>(tuple_index) << 32) |
       static_cast<uint64_t>(SignatureOf(table_id, index));
@@ -228,7 +255,7 @@ const ColumnMapping& QueryScopedCache::MappingFor(
     const uint32_t table_base = index.DistinctBegin();
     for (uint32_t slot = table_base; slot < index.DistinctEnd(); ++slot) {
       EntityId d = index.distinct[slot];
-      for (size_t i = 0; i < tuple.size(); ++i) {
+      for (size_t i = 0; i < k; ++i) {
         if (tuple[i] == d) {
           fp.push_back((static_cast<uint64_t>(i) << 40) |
                        static_cast<uint64_t>(slot - table_base));
@@ -243,12 +270,9 @@ const ColumnMapping& QueryScopedCache::MappingFor(
     return it->second;
   }
   ++mapping_misses_;
-  // Concrete memo type: σ probes inline inside the matrix loop. The matrix
-  // scratch is reused across tables for the lifetime of the query.
-  return mappings_
-      .emplace(key_scratch_, MapQueryTupleToColumnsIndexed(
-                                 tuple, index, *memo_, mapping_scratch_))
-      .first->second;
+  ColumnMapping& mapping = mappings_[key_scratch_];
+  SolveColumnMapping(scores, k, n, hungarian_, &mapping);
+  return mapping;
 }
 
 }  // namespace thetis

@@ -59,10 +59,31 @@ struct TableSignatureIndex {
   // QueryScopedCache sees exactly one index and never mixes them.
   TableId table_base = 0;
 
+  // Per signature id: how many covered tables carry it, saturated at 2.
+  // Derived from table_signatures by CountSignatureMultiplicity (at engine
+  // build and when an engine adopts prebuilt or snapshot-restored indexes;
+  // never persisted). Empty = unknown, which disables the singleton bypass.
+  std::vector<uint8_t> signature_multiplicity;
+
   bool CoversTable(TableId id) const {
     return id >= table_base && id - table_base < table_signatures.size();
   }
+
+  // True when `id` is covered and no other covered table shares its
+  // signature: its mapping-cache key can never be looked up again by
+  // another table, so the cache may skip the lookup and the insert.
+  bool SingletonSignature(TableId id) const {
+    if (!CoversTable(id)) return false;
+    const uint32_t sig = table_signatures[id - table_base];
+    return sig < signature_multiplicity.size() &&
+           signature_multiplicity[sig] == 1;
+  }
 };
+
+// Fills index->signature_multiplicity from its table_signatures: one
+// O(tables) pass. Ids at or past num_distinct (only a corrupt restore can
+// hold them) are left uncounted, so such tables are never bypassed.
+void CountSignatureMultiplicity(TableSignatureIndex* index);
 
 // `arena` (may be null) is the engine's prebuilt corpus column arena;
 // when present, covered tables reuse its views instead of rebuilding a
@@ -126,23 +147,23 @@ class QueryScopedCache {
   const SimilarityMemo& sim() const { return *memo_; }
 
   // The Hungarian mapping of query tuple `tuple_index` (content `tuple`)
-  // against `table` (whose prebuilt column-entity view is `index` — an
-  // arena slice or a per-table index's View()), computed at most once per
-  // distinct (signature, identity fingerprint). The returned reference is
-  // stable until the cache is destroyed.
+  // against table `table_id`, whose prebuilt column-entity view is `index`
+  // (an arena slice or a per-table index's View()) and whose k x n
+  // column-relevance matrix (k = tuple.size(), n = index.num_columns,
+  // row-major) the caller has already filled with the fused kernel. τ is
+  // solved at most once per distinct (signature, identity fingerprint).
+  // Tables whose signature no other covered table shares skip the lookup
+  // and the insert (they could never hit) but still count as misses. A
+  // cached mapping's reference is stable until the cache is destroyed; a
+  // bypassed table's only until the next MappingFor call.
   const ColumnMapping& MappingFor(size_t tuple_index,
                                   const std::vector<EntityId>& tuple,
-                                  const Table& table, TableId table_id,
-                                  ColumnIndexView index);
-  const ColumnMapping& MappingFor(size_t tuple_index,
-                                  const std::vector<EntityId>& tuple,
-                                  const Table& table, TableId table_id,
-                                  const ColumnEntityIndex& index) {
-    return MappingFor(tuple_index, tuple, table, table_id, index.View());
-  }
+                                  TableId table_id, ColumnIndexView index,
+                                  const double* scores);
 
-  // Convenience overload that builds the column-entity index internally;
-  // the engine's hot path passes the prebuilt per-table index instead.
+  // Convenience overload that builds the column-entity index and the
+  // matrix itself (σ through the memo); the engine's hot path passes both
+  // prebuilt instead.
   const ColumnMapping& MappingFor(size_t tuple_index,
                                   const std::vector<EntityId>& tuple,
                                   const Table& table, TableId table_id);
@@ -158,25 +179,6 @@ class QueryScopedCache {
   }
   size_t mapping_hits() const { return mapping_hits_; }
   size_t mapping_misses() const { return mapping_misses_; }
-
-  // Reusable per-row-aggregation buffers. The scoring loop runs once per
-  // (tuple, table) pair — about 10^5 times for a 20-query batch over a
-  // 1000-table lake — and allocating its four small vectors fresh each time
-  // costs more than the arithmetic. Values are fully re-assigned by the
-  // caller before use; only capacity is reused.
-  struct RowScratch {
-    std::vector<double> agg;
-    std::vector<double> sums;
-    std::vector<double> weights;
-    std::vector<EntityId> best_match;
-    // Batched σ scores of one column's distinct entities, plus the table's
-    // column-entity index (built once per table, shared by the mapping fill
-    // and the row aggregation) and its dedup table.
-    std::vector<double> cell_scores;
-    DedupScratch dedup;
-    ColumnEntityIndex index;
-  };
-  RowScratch& row_scratch() { return row_scratch_; }
 
  private:
   struct FlatSignatureHash {
@@ -218,12 +220,11 @@ class QueryScopedCache {
   std::unordered_map<MappingKey, ColumnMapping, MappingKeyHash> mappings_;
   size_t mapping_hits_ = 0;
   size_t mapping_misses_ = 0;
-  // Scratch for the column-relevance matrix and Hungarian solver (capacity
-  // reused across tables), the key fingerprint, and the row-aggregation
-  // buffers above.
-  MappingScratch mapping_scratch_;
+  // Hungarian workspace (capacity reused across tables), the key
+  // fingerprint, and the result slot of bypassed (singleton) tables.
+  HungarianScratch hungarian_;
   MappingKey key_scratch_;
-  RowScratch row_scratch_;
+  ColumnMapping bypass_mapping_;
 };
 
 }  // namespace thetis

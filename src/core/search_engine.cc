@@ -48,6 +48,52 @@ Query QueryFromTable(const Table& table, size_t max_tuples) {
   return query;
 }
 
+// Query-side constants of the bound pass and of exact scoring, built once
+// per query: the distinct entities each σ pass runs for, and per tuple
+// where its entities sit among them and their informativeness weights.
+struct QueryContext {
+  // Sorted distinct query entities (the σ batch is run once per entry).
+  std::vector<EntityId> entities;
+  // Per non-empty tuple, per position: index into `entities`, or
+  // SIZE_MAX for kNoEntity positions (coordinate 0, weight 1).
+  std::vector<std::vector<size_t>> slots;
+  // Per non-empty tuple: the exact informativeness weights the scorer uses.
+  std::vector<std::vector<double>> weights;
+  size_t counted_tuples = 0;
+};
+
+namespace {
+
+constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
+void BuildQueryContext(const Query& query, const SemanticDataLake& lake,
+                       const SearchOptions& options, QueryContext* ctx) {
+  ctx->entities = query.DistinctEntities();
+  ctx->slots.clear();
+  ctx->weights.clear();
+  ctx->counted_tuples = 0;
+  for (const auto& tq : query.tuples) {
+    if (tq.empty()) continue;
+    ++ctx->counted_tuples;
+    std::vector<size_t> slots(tq.size(), kNoSlot);
+    std::vector<double> weights(tq.size(), 1.0);
+    for (size_t i = 0; i < tq.size(); ++i) {
+      if (tq[i] == kNoEntity) continue;
+      slots[i] = static_cast<size_t>(
+          std::lower_bound(ctx->entities.begin(), ctx->entities.end(),
+                           tq[i]) -
+          ctx->entities.begin());
+      if (options.use_informativeness) {
+        weights[i] = lake.Informativeness(tq[i]);
+      }
+    }
+    ctx->slots.push_back(std::move(slots));
+    ctx->weights.push_back(std::move(weights));
+  }
+}
+
+}  // namespace
+
 SearchEngine::SearchEngine(const SemanticDataLake* lake,
                            const EntitySimilarity* sim, SearchOptions options)
     : lake_(lake), sim_(sim), options_(options) {
@@ -131,19 +177,21 @@ SearchEngine::SearchEngine(const SemanticDataLake* lake,
       shards_(std::move(prebuilt.shards)) {
   THETIS_CHECK(lake != nullptr && sim != nullptr);
   // No build phases: the shard arenas and σ-class signature indexes arrive
-  // ready (typically views over an mmap'd snapshot). Only the shard bounds
-  // and the identity candidate list are materialized here — both trivially
-  // derivable and not worth snapshot sections.
+  // ready (typically views over an mmap'd snapshot). Only the shard bounds,
+  // the identity candidate list and the per-signature table counts are
+  // materialized here — all O(tables) derivations, not worth snapshot
+  // sections.
   THETIS_CHECK(!shards_.empty()) << "prebuilt engine needs at least one shard";
   THETIS_CHECK(shards_.front().begin == 0)
       << "prebuilt shards must start at table 0";
   shard_bounds_.reserve(shards_.size() + 1);
   shard_bounds_.push_back(0);
-  for (const EngineShard& shard : shards_) {
+  for (EngineShard& shard : shards_) {
     THETIS_CHECK(shard.begin == shard_bounds_.back() &&
                  shard.end >= shard.begin)
         << "prebuilt shards must tile the corpus contiguously";
     shard_bounds_.push_back(shard.end);
+    CountSignatureMultiplicity(&shard.signatures);
   }
   all_tables_.resize(lake->corpus().size());
   std::iota(all_tables_.begin(), all_tables_.end(), TableId{0});
@@ -170,167 +218,149 @@ bool SearchEngine::ArenaViewOf(TableId id, ColumnIndexView* view) const {
 
 double SearchEngine::ScoreTable(const Query& query, TableId table_id,
                                 double* mapping_seconds) const {
-  return ScoreTableImpl(query, table_id, mapping_seconds, nullptr, nullptr);
+  QueryContext ctx;
+  BuildQueryContext(query, *lake_, options_, &ctx);
+  return ScoreTableImpl(query, ctx, table_id, mapping_seconds, nullptr,
+                        nullptr);
 }
 
 Explanation SearchEngine::Explain(const Query& query, TableId table_id) const {
+  QueryContext ctx;
+  BuildQueryContext(query, *lake_, options_, &ctx);
   Explanation explanation;
   explanation.table = table_id;
   explanation.score =
-      ScoreTableImpl(query, table_id, nullptr, &explanation, nullptr);
+      ScoreTableImpl(query, ctx, table_id, nullptr, &explanation, nullptr);
   return explanation;
 }
 
 namespace {
 
-// Lines 7-13 of Algorithm 1: σ of each query entity against its mapped
-// column, keeping both the running sum (kAvg) and max (kMax) plus the
-// best-matching cell entity. The table's column-entity index (built once
-// per table, shared with the mapping fill) already holds each column's
-// distinct entities with multiplicities, so each mapped entity costs one
-// batched σ call over the distinct slice; the row sum weights each σ by
-// its count. The max scan over distinct entities in first-occurrence
-// order with a strict > preserves the cell-at-a-time tie rule: among
-// equal-scoring entities the one whose first row appears earliest wins.
-// Templated on the concrete similarity type so the cached path
-// (SimilarityMemo, a final class) devirtualizes the batch probe.
-template <typename Sim>
-void AggregateRows(ColumnIndexView index, const std::vector<EntityId>& tq,
-                   const ColumnMapping& mapping, const Sim& sim,
-                   QueryScopedCache::RowScratch& scratch) {
-  size_t m = tq.size();
-  std::vector<double>& agg = scratch.agg;
-  std::vector<double>& sums = scratch.sums;
-  std::vector<EntityId>& best_match = scratch.best_match;
-  std::vector<double>& cell_scores = scratch.cell_scores;
-  for (size_t i = 0; i < m; ++i) {
-    int c = mapping.column_of_entity[i];
-    if (c < 0 || tq[i] == kNoEntity) continue;
-    size_t count = index.ColumnSize(static_cast<size_t>(c));
-    if (count == 0) continue;
-    const EntityId* distinct = index.ColumnDistinct(static_cast<size_t>(c));
-    const double* counts = index.ColumnCounts(static_cast<size_t>(c));
-    cell_scores.resize(count);
-    sim.ScoreBatch(tq[i], distinct, count, cell_scores.data());
-    for (size_t d = 0; d < count; ++d) {
-      double s = cell_scores[d];
-      sums[i] += counts[d] * s;
-      if (s > agg[i]) {
-        agg[i] = s;
-        best_match[i] = distinct[d];
-      }
-    }
-  }
-}
-
-// Scratch for uncached scoring, reused across calls within a thread: this
-// function runs once per (query, table), and with the batched kernels the
-// buffer/dedup-table allocations would otherwise rival the σ arithmetic
-// itself (especially for the cheap type-intersection σ). thread_local keeps
-// SearchCandidatesParallel race-free without locks.
-struct UncachedScoringScratch {
-  MappingScratch mapping;
-  QueryScopedCache::RowScratch rows;
+// Per-thread scoring buffers, reused across calls: ScoreTableImpl runs
+// once per (query, table), and allocating its small vectors fresh each
+// time would cost more than the arithmetic. thread_local keeps the
+// parallel and sharded loops race-free without locks, and every buffer is
+// fully re-assigned before use, so only capacity carries over.
+struct ScoringScratch {
+  ColumnStats stats;
+  // The current tuple's k x n column-relevance matrix (row-major).
+  std::vector<double> matrix;
+  HungarianScratch hungarian;
+  // τ of the current tuple when no mapping cache is in play.
+  ColumnMapping mapping;
+  std::vector<double> coords;
+  std::vector<EntityId> best_match;
+  // Column-entity index of a table ingested after engine construction.
+  DedupScratch dedup;
+  ColumnEntityIndex index;
 };
 
-UncachedScoringScratch& ThreadScratch() {
-  thread_local UncachedScoringScratch scratch;
+ScoringScratch& ThreadScratch() {
+  thread_local ScoringScratch scratch;
   return scratch;
 }
 
 }  // namespace
 
-double SearchEngine::ScoreTableImpl(const Query& query, TableId table_id,
+double SearchEngine::ScoreTableImpl(const Query& query,
+                                    const QueryContext& ctx, TableId table_id,
                                     double* mapping_seconds,
                                     Explanation* explanation,
                                     QueryScopedCache* cache) const {
   const Table& table = lake_->corpus().table(table_id);
-  if (query.tuples.empty() || table.num_rows() == 0) return 0.0;
-
-  // Aggregation buffers: query-scoped scratch when a cache is present,
-  // thread-local scratch otherwise.
-  QueryScopedCache::RowScratch& scratch =
-      cache != nullptr ? cache->row_scratch() : ThreadScratch().rows;
+  if (ctx.counted_tuples == 0 || table.num_rows() == 0) return 0.0;
+  ScoringScratch& scratch = ThreadScratch();
 
   // The table's dedup'd columns: a read-only slice of its shard's arena
   // for tables known at engine build, a freshly gathered per-table index
-  // only for late-ingested tables. Every tuple's mapping fill and row
-  // aggregation reads the same view.
+  // only for late-ingested tables.
   ColumnIndexView view;
   if (!ArenaViewOf(table_id, &view)) {
     scratch.index.Build(table, scratch.dedup);
     view = scratch.index.View();
   }
 
-  double tuple_score_sum = 0.0;
-  size_t counted_tuples = 0;
-  bool any_relevant = false;
+  // The fused kernel: one σ pass per distinct query entity over the
+  // table's pool yields every column's sum (the mapping matrix and the
+  // kAvg numerator), max and argmax (the kMax coordinate and best match)
+  // for all tuples at once.
+  Stopwatch sigma_watch;
+  if (cache != nullptr) {
+    ComputeColumnStats(view, ctx.entities.data(), ctx.entities.size(),
+                       cache->sim(), &scratch.stats);
+  } else {
+    ComputeColumnStats(view, ctx.entities.data(), ctx.entities.size(), *sim_,
+                       &scratch.stats);
+  }
+  double seconds = sigma_watch.ElapsedSeconds();
+  const ColumnStats& stats = scratch.stats;
+  const size_t n = view.num_columns;
+  const double num_rows = static_cast<double>(table.num_rows());
 
+  double tuple_score_sum = 0.0;
+  bool any_relevant = false;
+  size_t t = 0;
   for (size_t tuple_index = 0; tuple_index < query.tuples.size();
        ++tuple_index) {
     const auto& tq = query.tuples[tuple_index];
     if (tq.empty()) continue;
-    ++counted_tuples;
+    const std::vector<size_t>& slots = ctx.slots[t];
+    const std::vector<double>& weights = ctx.weights[t];
+    ++t;
+    const size_t k = tq.size();
 
-    // Line 5: Hungarian column mapping for this query tuple, reused across
-    // tables with identical column signatures when a cache is present.
+    // Line 5: Hungarian column mapping over this tuple's rows of the
+    // column sums, reused across tables with identical column signatures
+    // when a cache is present.
     Stopwatch mapping_watch;
-    ColumnMapping local_mapping;
-    const ColumnMapping* mapping_ptr;
-    if (cache != nullptr) {
-      mapping_ptr = &cache->MappingFor(tuple_index, tq, table, table_id,
-                                       view);
-    } else {
-      local_mapping = MapQueryTupleToColumnsIndexed(tq, view, *sim_,
-                                                    ThreadScratch().mapping);
-      mapping_ptr = &local_mapping;
-    }
-    const ColumnMapping& mapping = *mapping_ptr;
-    if (mapping_seconds != nullptr) {
-      *mapping_seconds += mapping_watch.ElapsedSeconds();
-    }
-
-    size_t m = tq.size();
-    std::vector<double>& agg = scratch.agg;
-    std::vector<double>& sums = scratch.sums;
-    std::vector<EntityId>& best_match = scratch.best_match;
-    agg.assign(m, 0.0);
-    sums.assign(m, 0.0);
-    best_match.assign(m, kNoEntity);
-    if (cache != nullptr) {
-      AggregateRows(view, tq, mapping, cache->sim(), scratch);
-    } else {
-      AggregateRows(view, tq, mapping, *sim_, scratch);
-    }
-    if (options_.aggregation == RowAggregation::kAvg) {
-      for (size_t i = 0; i < m; ++i) {
-        agg[i] = sums[i] / static_cast<double>(table.num_rows());
+    scratch.matrix.resize(k * n);
+    for (size_t i = 0; i < k; ++i) {
+      double* row = scratch.matrix.data() + i * n;
+      if (slots[i] == kNoSlot) {
+        std::fill(row, row + n, 0.0);
+      } else {
+        std::copy_n(stats.SumRow(slots[i]), n, row);
       }
     }
-    for (size_t i = 0; i < m; ++i) {
-      if (agg[i] > 0.0) any_relevant = true;
+    const ColumnMapping* mapping = &scratch.mapping;
+    if (cache != nullptr) {
+      mapping = &cache->MappingFor(tuple_index, tq, table_id, view,
+                                   scratch.matrix.data());
+    } else {
+      SolveColumnMapping(scratch.matrix.data(), k, n, scratch.hungarian,
+                         &scratch.mapping);
+    }
+    seconds += mapping_watch.ElapsedSeconds();
+
+    // Lines 7-13: each mapped entity's coordinate is its column's max σ
+    // (kMax) or count-weighted σ sum over the row count (kAvg).
+    std::vector<double>& coords = scratch.coords;
+    std::vector<EntityId>& best_match = scratch.best_match;
+    coords.assign(k, 0.0);
+    best_match.assign(k, kNoEntity);
+    for (size_t i = 0; i < k; ++i) {
+      const int c = mapping->column_of_entity[i];
+      if (c < 0 || slots[i] == kNoSlot) continue;
+      const size_t cell = slots[i] * n + static_cast<size_t>(c);
+      coords[i] = options_.aggregation == RowAggregation::kAvg
+                      ? stats.sum[cell] / num_rows
+                      : stats.max[cell];
+      best_match[i] = stats.argmax[cell];
+      if (coords[i] > 0.0) any_relevant = true;
     }
 
     // Line 14: weighted Euclidean distance converted to a similarity.
-    std::vector<double>& weights = scratch.weights;
-    weights.assign(m, 1.0);
-    if (options_.use_informativeness) {
-      for (size_t i = 0; i < m; ++i) {
-        weights[i] =
-            tq[i] == kNoEntity ? 1.0 : lake_->Informativeness(tq[i]);
-      }
-    }
-    double tuple_score = DistanceSimilarity(agg, weights);
+    double tuple_score = DistanceSimilarity(coords, weights);
     tuple_score_sum += tuple_score;
 
     if (explanation != nullptr) {
       TupleExplanation te;
       te.score = tuple_score;
-      for (size_t i = 0; i < m; ++i) {
+      for (size_t i = 0; i < k; ++i) {
         EntityExplanation ee;
         ee.entity = tq[i];
-        ee.column = mapping.column_of_entity[i];
-        ee.coordinate = agg[i];
+        ee.column = mapping->column_of_entity[i];
+        ee.coordinate = coords[i];
         ee.weight = weights[i];
         ee.best_match = best_match[i];
         te.entities.push_back(ee);
@@ -338,10 +368,11 @@ double SearchEngine::ScoreTableImpl(const Query& query, TableId table_id,
       explanation->tuples.push_back(std::move(te));
     }
   }
+  if (mapping_seconds != nullptr) *mapping_seconds += seconds;
 
-  if (counted_tuples == 0 || !any_relevant) return 0.0;
+  if (!any_relevant) return 0.0;
   // Line 15: average across query tuples.
-  return tuple_score_sum / static_cast<double>(counted_tuples);
+  return tuple_score_sum / static_cast<double>(ctx.counted_tuples);
 }
 
 namespace {
@@ -480,46 +511,6 @@ const std::vector<TableId>& FilterTombstoned(
 // (no σ > 0 anywhere means no relevant mapping), so 0 is returned and the
 // caller may skip the table outright.
 
-// Query-side constants of the bound, built once per query.
-struct BoundContext {
-  // Sorted distinct query entities (the σ batch is run once per entry).
-  std::vector<EntityId> entities;
-  // Per non-empty tuple, per position: index into `entities`, or
-  // SIZE_MAX for kNoEntity positions (coordinate 0, weight 1).
-  std::vector<std::vector<size_t>> slots;
-  // Per non-empty tuple: the exact informativeness weights the scorer uses.
-  std::vector<std::vector<double>> weights;
-  size_t counted_tuples = 0;
-};
-
-constexpr size_t kNoSlot = static_cast<size_t>(-1);
-
-void BuildBoundContext(const Query& query, const SemanticDataLake& lake,
-                       const SearchOptions& options, BoundContext* ctx) {
-  ctx->entities = query.DistinctEntities();
-  ctx->slots.clear();
-  ctx->weights.clear();
-  ctx->counted_tuples = 0;
-  for (const auto& tq : query.tuples) {
-    if (tq.empty()) continue;
-    ++ctx->counted_tuples;
-    std::vector<size_t> slots(tq.size(), kNoSlot);
-    std::vector<double> weights(tq.size(), 1.0);
-    for (size_t i = 0; i < tq.size(); ++i) {
-      if (tq[i] == kNoEntity) continue;
-      slots[i] = static_cast<size_t>(
-          std::lower_bound(ctx->entities.begin(), ctx->entities.end(),
-                           tq[i]) -
-          ctx->entities.begin());
-      if (options.use_informativeness) {
-        weights[i] = lake.Informativeness(tq[i]);
-      }
-    }
-    ctx->slots.push_back(std::move(slots));
-    ctx->weights.push_back(std::move(weights));
-  }
-}
-
 // Per-worker buffers of the bound pass.
 struct BoundScratch {
   std::vector<double> sigma;  // batched σ over one table's distinct union
@@ -533,7 +524,7 @@ struct BoundScratch {
 // slice and then gathers each query's subset — runs the exact same
 // arithmetic on the exact same doubles: a fused bound and a per-query bound
 // of the same (query, table) pair are bit-identical by construction.
-double AssembleBoundFromUmax(const BoundContext& ctx, size_t num_rows,
+double AssembleBoundFromUmax(const QueryContext& ctx, size_t num_rows,
                              const double* umax, size_t num_entities,
                              RowAggregation aggregation,
                              std::vector<double>& coords) {
@@ -573,7 +564,7 @@ double AssembleBoundFromUmax(const BoundContext& ctx, size_t num_rows,
 }
 
 template <typename Sim>
-double UpperBoundWithView(const BoundContext& ctx, size_t num_rows,
+double UpperBoundWithView(const QueryContext& ctx, size_t num_rows,
                           ColumnIndexView view, const Sim& sim,
                           RowAggregation aggregation, BoundScratch& scratch) {
   if (ctx.counted_tuples == 0 || num_rows == 0) return 0.0;
@@ -636,7 +627,7 @@ const char* ResolveBoundBackend(const SearchOptions& options,
 // engine construction get +inf (always scored, never pruned — exactness
 // over speed for the dynamic-corpus edge case).
 template <typename Sim>
-double BoundForTable(const BoundContext& ctx, const SearchEngine& engine,
+double BoundForTable(const QueryContext& ctx, const SearchEngine& engine,
                      const Corpus& corpus, TableId id, const Sim& sim,
                      RowAggregation aggregation, BoundScratch& scratch) {
   // Tombstoned tables bound to 0: the candidate filter already removed
@@ -704,8 +695,8 @@ double SearchEngine::UpperBoundTable(const Query& query,
       options_.tombstones->Contains(table_id)) {
     return 0.0;
   }
-  BoundContext ctx;
-  BuildBoundContext(query, *lake_, options_, &ctx);
+  QueryContext ctx;
+  BuildQueryContext(query, *lake_, options_, &ctx);
   BoundScratch scratch;
   const Table& table = lake_->corpus().table(table_id);
   const bool compressed = ResolveBoundBackend(options_, *sim_)[0] != 'f';
@@ -762,6 +753,8 @@ std::vector<SearchHit> SearchEngine::SearchCandidatesImpl(
   TopK<TableId> top(std::max<size_t>(1, options_.top_k));
   size_t nonzero = 0;
   size_t pruned = 0;
+  QueryContext ctx;
+  BuildQueryContext(query, *lake_, options_, &ctx);
 
   const bool prune = options_.enable_prune && !cands.empty();
   std::vector<double> bounds;
@@ -785,8 +778,6 @@ std::vector<SearchHit> SearchEngine::SearchCandidatesImpl(
   } else if (prune) {
     obs::TraceSpan bound_span("bound");
     Stopwatch bound_watch;
-    BoundContext ctx;
-    BuildBoundContext(query, *lake_, options_, &ctx);
     BoundScratch bound_scratch;
     bounds.resize(cands.size());
     bound_backend = ResolveBoundBackend(options_, *sim_);
@@ -826,7 +817,8 @@ std::vector<SearchHit> SearchEngine::SearchCandidatesImpl(
       for (TableId id : cands) {
         if (dl.Expired()) break;
         double score =
-            ScoreTableImpl(query, id, &mapping_seconds, nullptr, cache.get());
+            ScoreTableImpl(query, ctx, id, &mapping_seconds, nullptr,
+                           cache.get());
         if (score > 0.0) {
           ++nonzero;
           top.Push(id, score);
@@ -847,7 +839,8 @@ std::vector<SearchHit> SearchEngine::SearchCandidatesImpl(
           break;
         }
         double score =
-            ScoreTableImpl(query, id, &mapping_seconds, nullptr, cache.get());
+            ScoreTableImpl(query, ctx, id, &mapping_seconds, nullptr,
+                           cache.get());
         if (score > 0.0) {
           ++nonzero;
           top.Push(id, score);
@@ -925,10 +918,10 @@ std::vector<SearchHit> SearchEngine::SearchCandidatesParallel(
   const bool prune = options_.enable_prune && !cands.empty();
   std::vector<double> bounds;
   std::vector<uint32_t> order;
-  BoundContext ctx;
+  QueryContext ctx;
+  BuildQueryContext(query, *lake_, options_, &ctx);
   const char* bound_backend = "fp32";
   if (prune) {
-    BuildBoundContext(query, *lake_, options_, &ctx);
     bounds.assign(cands.size(), 0.0);
     bound_backend = ResolveBoundBackend(options_, *sim_);
     const bool compressed = bound_backend[0] != 'f';
@@ -990,7 +983,7 @@ std::vector<SearchHit> SearchEngine::SearchCandidatesParallel(
     if (!prune) {
       for (size_t i = stripe; i < cands.size(); i += stripes) {
         if (dl.Expired()) break;
-        double score = ScoreTableImpl(query, cands[i],
+        double score = ScoreTableImpl(query, ctx, cands[i],
                                       &local.mapping_seconds, nullptr,
                                       local.cache.get());
         if (score > 0.0) {
@@ -1018,7 +1011,7 @@ std::vector<SearchHit> SearchEngine::SearchCandidatesParallel(
           if (floor_out && !zero && !local_out) local.floor_hits += remaining;
           break;
         }
-        double score = ScoreTableImpl(query, id, &local.mapping_seconds,
+        double score = ScoreTableImpl(query, ctx, id, &local.mapping_seconds,
                                       nullptr, local.cache.get());
         if (score > 0.0) {
           ++local.nonzero;
@@ -1111,16 +1104,13 @@ std::vector<SearchHit> SearchEngine::SearchShards(
   dl.Arm(options_.deadline_seconds);
 
   const bool prune = options_.enable_prune && live_count > 0;
-  BoundContext ctx;
+  QueryContext ctx;
+  BuildQueryContext(query, *lake_, options_, &ctx);
   const char* bound_backend = "fp32";
   if (prune) {
-    if (fused != nullptr) {
-      // Fused batch: bounds precomputed table-major, no per-query context.
-      bound_backend = fused->bound_backend;
-    } else {
-      BuildBoundContext(query, *lake_, options_, &ctx);
-      bound_backend = ResolveBoundBackend(options_, *sim_);
-    }
+    // A fused batch's bounds arrive precomputed table-major.
+    bound_backend = fused != nullptr ? fused->bound_backend
+                                     : ResolveBoundBackend(options_, *sim_);
   }
 
   // The shared score floor every shard prunes against and publishes to;
@@ -1216,7 +1206,7 @@ std::vector<SearchHit> SearchEngine::SearchShards(
       if (!prune) {
         for (TableId id : cands) {
           if (dl.Expired()) break;
-          double score = ScoreTableImpl(query, id, &local.mapping_seconds,
+          double score = ScoreTableImpl(query, ctx, id, &local.mapping_seconds,
                                         nullptr, local.cache.get());
           if (score > 0.0) {
             ++local.nonzero;
@@ -1243,7 +1233,7 @@ std::vector<SearchHit> SearchEngine::SearchShards(
             }
             break;
           }
-          double score = ScoreTableImpl(query, id, &local.mapping_seconds,
+          double score = ScoreTableImpl(query, ctx, id, &local.mapping_seconds,
                                         nullptr, local.cache.get());
           if (score > 0.0) {
             ++local.nonzero;
@@ -1370,11 +1360,11 @@ std::vector<std::vector<SearchHit>> SearchEngine::SearchBatchFused(
     shared_memo = std::make_unique<SimilarityMemo>(sim_);
   }
 
-  // Phase A: per-query bound contexts, the batch's sorted distinct entity
+  // Phase A: per-query contexts, the batch's sorted distinct entity
   // UNION, and per-query maps from context slot to union slot. The first
   // query referencing an entity "owns" it; later queries count it as
   // shared — the σ work the fusion saves them.
-  std::vector<BoundContext> ctxs(queries.size());
+  std::vector<QueryContext> ctxs(queries.size());
   std::vector<EntityId> union_entities;
   std::vector<std::vector<size_t>> slot_of(queries.size());
   std::vector<size_t> shared_entities(queries.size(), 0);
@@ -1386,7 +1376,7 @@ std::vector<std::vector<SearchHit>> SearchEngine::SearchBatchFused(
   if (prune) {
     bound_backend = ResolveBoundBackend(options_, *sim_);
     for (size_t q = 0; q < queries.size(); ++q) {
-      BuildBoundContext(queries[q], *lake_, options_, &ctxs[q]);
+      BuildQueryContext(queries[q], *lake_, options_, &ctxs[q]);
       union_entities.insert(union_entities.end(), ctxs[q].entities.begin(),
                             ctxs[q].entities.end());
     }

@@ -115,6 +115,10 @@ struct SearchHit {
 // see SearchEngine::SearchBatchFused).
 struct FusedQueryInput;
 
+// Per-query constants shared by the bound pass and exact scoring (defined
+// in the .cc): distinct entities, tuple slots, informativeness weights.
+struct QueryContext;
+
 // Why one query entity contributed what it did to a table's score.
 struct EntityExplanation {
   EntityId entity = kNoEntity;
@@ -155,7 +159,8 @@ struct SearchStats {
   // proved they cannot enter the top-k). 0 when pruning is disabled.
   size_t tables_pruned = 0;
   double total_seconds = 0.0;
-  // Time spent inside the Hungarian column mapping μ/τ.
+  // Time spent in exact scoring's fused σ pass (every column's σ
+  // statistics) plus the Hungarian column mapping τ, over scored tables.
   double mapping_seconds = 0.0;
   // Time spent computing the admissible upper bounds (0 when pruning is
   // disabled).
@@ -315,8 +320,8 @@ class SearchEngine {
   // per-row σ scores, row aggregation, weighted distance similarity,
   // averaged over query tuples (Algorithm 1 lines 3-15). Returns 0 when no
   // query entity has any relevant mapping into the table. When
-  // `mapping_seconds` is non-null it accumulates the time spent computing
-  // the column mapping.
+  // `mapping_seconds` is non-null it accumulates the time spent in the σ
+  // pass and the column mapping (see SearchStats::mapping_seconds).
   double ScoreTable(const Query& query, TableId table,
                     double* mapping_seconds = nullptr) const;
 
@@ -338,11 +343,14 @@ class SearchEngine {
   double UpperBoundTable(const Query& query, TableId table) const;
 
  private:
-  // Shared implementation of ScoreTable/Explain; `explanation` and `cache`
-  // may be null. With a cache, σ scores and Hungarian mappings are memoized
-  // query-wide; the results are bit-identical either way.
-  double ScoreTableImpl(const Query& query, TableId table,
-                        double* mapping_seconds, Explanation* explanation,
+  // Shared implementation of ScoreTable/Explain and every search loop;
+  // `ctx` is `query`'s context (built once per query by the caller);
+  // `explanation` and `cache` may be null. With a cache, σ scores and
+  // Hungarian mappings are memoized query-wide; the results are
+  // bit-identical either way.
+  double ScoreTableImpl(const Query& query, const QueryContext& ctx,
+                        TableId table, double* mapping_seconds,
+                        Explanation* explanation,
                         QueryScopedCache* cache) const;
 
   // Shared serial implementation: SearchCandidates flushes the stats to

@@ -1,17 +1,59 @@
 #include "io/snapshot_writer.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 namespace thetis {
 
+namespace {
+
+// Process-unique temporary name next to `path`: the pid separates
+// processes, the sequence number separates writers within one process.
+std::string TemporaryPathFor(const std::string& path) {
+  static std::atomic<uint64_t> sequence{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
+}
+
+// fsync by path (std::ofstream exposes no descriptor). Directories are
+// opened read-only, which POSIX allows fsync on.
+bool SyncPath(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && ok;
+}
+
+std::string ParentDirectory(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  if (slash == 0) return "/";
+  return path.substr(0, slash);
+}
+
+}  // namespace
+
 SnapshotWriter::SnapshotWriter(const std::string& path)
-    : path_(path), out_(path, std::ios::binary | std::ios::trunc) {
+    : path_(path),
+      tmp_path_(TemporaryPathFor(path)),
+      out_(tmp_path_, std::ios::binary | std::ios::trunc) {
   // A zeroed header placeholder; Finish() seeks back and fills it in once
   // the section table's location and checksum are known.
   SnapshotHeader header;
   std::memset(&header, 0, sizeof(header));
   out_.write(reinterpret_cast<const char*>(&header), sizeof(header));
   offset_ = sizeof(header);
+}
+
+SnapshotWriter::~SnapshotWriter() {
+  if (finished_) return;
+  out_.close();
+  std::remove(tmp_path_.c_str());
 }
 
 Status SnapshotWriter::PadToAlignment() {
@@ -144,8 +186,19 @@ Status SnapshotWriter::Finish() {
   out_.flush();
   if (!out_) return Status::IoError("write to " + path_ + " failed");
   out_.close();
-  bytes_written_ = offset_;
+  if (!out_) return Status::IoError("close of " + tmp_path_ + " failed");
+  // Durable bytes first, then the atomic switch, then the durable name.
+  if (!SyncPath(tmp_path_, O_WRONLY)) {
+    return Status::IoError("fsync of " + tmp_path_ + " failed");
+  }
+  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
+    return Status::IoError("rename of " + tmp_path_ + " to " + path_ +
+                           " failed: " + std::strerror(errno));
+  }
   finished_ = true;
+  // Best effort: some filesystems refuse fsync on a directory.
+  SyncPath(ParentDirectory(path_), O_RDONLY | O_DIRECTORY);
+  bytes_written_ = offset_;
   return Status::Ok();
 }
 

@@ -22,9 +22,21 @@ namespace thetis {
 // The byte stream is a pure function of the appended (kind, bytes)
 // sequence — no timestamps, no map iteration order — which is what lets
 // the golden-file test pin the format byte for byte.
+//
+// Saves are atomic: the bytes go to a private temporary file next to the
+// target (`path.tmp.<pid>.<n>`), which Finish() fsyncs and then renames
+// over `path`. A reader that has the previous file mmapped keeps its
+// (now unlinked) inode intact instead of seeing it truncated under it —
+// re-saving the snapshot a server is serving from never kills the server —
+// and a crash mid-save leaves the old file, never a torn one. A writer
+// destroyed before Finish() succeeds removes its temporary file.
 class SnapshotWriter {
  public:
   explicit SnapshotWriter(const std::string& path);
+  ~SnapshotWriter();
+
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
 
   // Appends one section. Kinds must be unique per file.
   Status AppendSection(SectionKind kind, const void* data, size_t length);
@@ -55,7 +67,8 @@ class SnapshotWriter {
   }
 
   // Writes the section table, patches the header (file length, table
-  // offset, table checksum) and closes the file. No appends after this.
+  // offset, table checksum), closes and fsyncs the temporary file and
+  // renames it over the target path. No appends after this.
   Status Finish();
 
   // Total bytes in the finished file (valid after Finish()).
@@ -65,6 +78,7 @@ class SnapshotWriter {
   Status PadToAlignment();
 
   std::string path_;
+  std::string tmp_path_;
   std::ofstream out_;
   std::vector<SectionEntry> entries_;
   uint64_t offset_ = 0;

@@ -14,6 +14,7 @@
 #include "embedding/skipgram.h"
 #include "embedding/vector_ops.h"
 #include "util/rng.h"
+#include "test_temp_dir.h"
 
 namespace thetis {
 namespace {
@@ -97,7 +98,7 @@ TEST(EmbeddingStoreTest, BinaryRoundTrip) {
           static_cast<float>(e) * 1.25f - static_cast<float>(d) * 0.5f;
     }
   }
-  std::string path = testing::TempDir() + "/emb_roundtrip.bin";
+  std::string path = TestTempDir() + "/emb_roundtrip.bin";
   ASSERT_TRUE(store.SaveBinary(path).ok());
   auto loaded = EmbeddingStore::LoadBinary(path);
   ASSERT_TRUE(loaded.ok());
@@ -114,7 +115,7 @@ TEST(EmbeddingStoreTest, BinaryRoundTrip) {
 
 TEST(EmbeddingStoreTest, BinaryLoadRejectsGarbage) {
   EXPECT_FALSE(EmbeddingStore::LoadBinary("/nonexistent/emb.bin").ok());
-  std::string path = testing::TempDir() + "/emb_garbage.bin";
+  std::string path = TestTempDir() + "/emb_garbage.bin";
   {
     std::ofstream out(path, std::ios::binary);
     out << "not an embedding file at all";
@@ -148,7 +149,7 @@ void WriteBinaryFile(const std::string& path, const char magic[4],
 }  // namespace
 
 TEST(EmbeddingStoreTest, BinaryLoadValidatesHeaderAgainstFileLength) {
-  const std::string path = testing::TempDir() + "/emb_malformed.bin";
+  const std::string path = TestTempDir() + "/emb_malformed.bin";
   const char magic[4] = {'T', 'E', 'M', 'B'};
 
   // Header declares more rows than the payload holds.
@@ -186,7 +187,7 @@ TEST(EmbeddingStoreTest, BinaryLoadValidatesHeaderAgainstFileLength) {
 }
 
 TEST(EmbeddingStoreTest, BinaryLoadRejectsOverflowingCounts) {
-  const std::string path = testing::TempDir() + "/emb_overflow.bin";
+  const std::string path = TestTempDir() + "/emb_overflow.bin";
   const char magic[4] = {'T', 'E', 'M', 'B'};
   // count * dim (and count * dim * sizeof(float)) overflow size_t; the
   // header checks must catch this before any multiplication is trusted.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -22,6 +23,7 @@
 #include "serve/bounded_queue.h"
 #include "serve/epoch_registry.h"
 #include "util/logging.h"
+#include "test_temp_dir.h"
 
 namespace thetis {
 namespace {
@@ -399,7 +401,7 @@ TEST(ServeRuntimeTest, DeleteTombstonesImmediatelyAndCompactionFolds) {
 TEST(ServeRuntimeTest, SnapshotColdStartServesDeletesAndIngests) {
   World world(0.03, 47, 1, 3, 5);
   ServeOptions options = SmallServeOptions();
-  const std::string path = testing::TempDir() + "/serve_cold_start.snap";
+  const std::string path = TestTempDir() + "/serve_cold_start.snap";
   {
     Corpus corpus = world.CorpusAt(0);
     SemanticDataLake lake(&corpus, &world.bench.kg.kg);
@@ -464,6 +466,68 @@ TEST(ServeRuntimeTest, SnapshotColdStartServesDeletesAndIngests) {
                    "snapshot-ingest query " + std::to_string(q));
   }
   EXPECT_EQ(runtime.hot_swaps(), 2u);
+}
+
+// Re-saving the snapshot a runtime is serving from, while queries run:
+// saves are write-to-temporary + rename, so the served mapping keeps its
+// inode and every response stays bit-identical. (A writer that truncated
+// the file in place killed the server with SIGBUS here.)
+TEST(ServeRuntimeTest, ResavingServedSnapshotKeepsServing) {
+  World world(0.03, 53, 1, 1, 5);
+  ServeOptions options = SmallServeOptions();
+  const std::string path = TestTempDir() + "/serve_resave.snap";
+  Corpus corpus = world.CorpusAt(0);
+  SemanticDataLake lake(&corpus, &world.bench.kg.kg);
+  SearchEngine engine(&lake, &world.sim, options.search);
+  EngineSnapshotParts parts;
+  parts.lake = &lake;
+  parts.engine = &engine;
+  ASSERT_TRUE(SaveEngineSnapshot(path, parts).ok());
+  auto reference = world.Reference(world.CorpusAt(0), options.search);
+
+  Result<std::unique_ptr<ServeRuntime>> loaded = ServeRuntime::FromSnapshot(
+      path, world.CorpusAt(0), &world.bench.kg.kg, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ServeRuntime& runtime = *loaded.value();
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> client_done{false};
+  std::atomic<size_t> served{0};
+  std::thread client([&] {
+    for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      const size_t q = i % world.queries.size();
+      ServeResponse response = runtime.Submit(world.queries[q].query).get();
+      EXPECT_TRUE(response.status.ok()) << response.status.message();
+      if (!response.status.ok()) break;
+      ExpectSameHits(reference[q], response.hits,
+                     "query " + std::to_string(q) + " during re-save");
+      served.fetch_add(1, std::memory_order_relaxed);
+    }
+    client_done.store(true, std::memory_order_relaxed);
+  });
+  // Keep saving until the client has overlapped the saves with real work
+  // (bounded, in case the client stopped early on a failure).
+  for (int save = 0; save < 2000; ++save) {
+    EXPECT_TRUE(SaveEngineSnapshot(path, parts).ok()) << "save " << save;
+    if (save >= 20 && (client_done.load(std::memory_order_relaxed) ||
+                       served.load(std::memory_order_relaxed) >=
+                           2 * world.queries.size())) {
+      break;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  client.join();
+  EXPECT_GE(served.load(), 2 * world.queries.size());
+
+  // Only the snapshot itself is left: no temporary file survives a save.
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(TestTempDir())) {
+    if (entry.path().filename().string().rfind("serve_resave.snap", 0) == 0) {
+      ++files;
+      EXPECT_EQ(entry.path().string(), path);
+    }
+  }
+  EXPECT_EQ(files, 1u);
 }
 
 // --- Admission control and deadlines ----------------------------------------------

@@ -45,6 +45,7 @@
 #include "lsh/lsei.h"
 #include "semantic/semantic_data_lake.h"
 #include "util/thread_pool.h"
+#include "test_temp_dir.h"
 
 namespace thetis {
 namespace {
@@ -164,7 +165,7 @@ class SnapshotTest : public ::testing::Test {
     lsei_ = new Lsei(lake_, nullptr, lsh);
     queries_ = new std::vector<GeneratedQuery>(
         benchgen::MakeQueries(bench_->kg, 6));
-    path_ = new std::string(testing::TempDir() + "/engine_parity.snap");
+    path_ = new std::string(TestTempDir() + "/engine_parity.snap");
     EngineSnapshotParts parts;
     parts.lake = lake_;
     parts.engine = engine_;
@@ -184,7 +185,7 @@ class SnapshotTest : public ::testing::Test {
 
   // Writes `bytes` to a scratch file and attempts a full engine load.
   static Status TryLoad(const std::string& bytes) {
-    const std::string scratch = testing::TempDir() + "/tampered.snap";
+    const std::string scratch = TestTempDir() + "/tampered.snap";
     WriteAll(scratch, bytes);
     auto loaded = LoadedEngine::Load(scratch, lake_);
     return loaded.ok() ? Status::Ok() : loaded.status();
@@ -296,7 +297,7 @@ TEST_F(SnapshotTest, RoundTripLseiParity) {
 }
 
 TEST_F(SnapshotTest, SaveIsDeterministic) {
-  const std::string again = testing::TempDir() + "/engine_again.snap";
+  const std::string again = TestTempDir() + "/engine_again.snap";
   EngineSnapshotParts parts;
   parts.lake = lake_;
   parts.engine = engine_;
@@ -514,7 +515,7 @@ TEST_F(SnapshotTest, BadMagicVersionAndEndiannessAreDescriptiveErrors) {
 TEST_F(SnapshotTest, ReaderToleratesUnknownSectionKinds) {
   // Forward compatibility: a newer writer may append kinds this build does
   // not know. They are bounds-checked and skipped, not fatal.
-  const std::string path = testing::TempDir() + "/unknown_kind.snap";
+  const std::string path = TestTempDir() + "/unknown_kind.snap";
   SnapshotWriter writer(path);
   const uint32_t payload[4] = {1, 2, 3, 4};
   ASSERT_TRUE(writer
@@ -624,7 +625,7 @@ std::string BuildMicroSnapshot(const MicroLake& micro,
 TEST(GoldenSnapshotTest, WriterMatchesCheckedInFixtureByteForByte) {
   MicroLake micro;
   SemanticDataLake lake(&micro.corpus, &micro.kg);
-  const std::string scratch = testing::TempDir() + "/golden_candidate.snap";
+  const std::string scratch = TestTempDir() + "/golden_candidate.snap";
   const std::string bytes =
       BuildMicroSnapshot(micro, lake, scratch, /*num_shards=*/2);
   if (std::getenv("THETIS_REGEN_GOLDEN") != nullptr) {
@@ -738,8 +739,8 @@ TEST(GoldenSnapshotTest, LegacyVersion2FixtureStillLoads) {
 TEST(GoldenSnapshotTest, ShardedSaveRebasesArenaSectionsToUnshardedBytes) {
   MicroLake micro;
   SemanticDataLake lake(&micro.corpus, &micro.kg);
-  const std::string flat_path = testing::TempDir() + "/shard_flat.snap";
-  const std::string sharded_path = testing::TempDir() + "/shard_two.snap";
+  const std::string flat_path = TestTempDir() + "/shard_flat.snap";
+  const std::string sharded_path = TestTempDir() + "/shard_two.snap";
   const std::string flat = BuildMicroSnapshot(micro, lake, flat_path, 1);
   const std::string sharded = BuildMicroSnapshot(micro, lake, sharded_path, 2);
   for (SectionKind kind :
@@ -766,7 +767,7 @@ TEST_F(SnapshotTest, ShardedRoundTripKeepsLayoutAndRankings) {
   SearchOptions options;
   options.num_shards = 3;
   SearchEngine sharded(lake_, types_, options);
-  const std::string path = testing::TempDir() + "/sharded_parity.snap";
+  const std::string path = TestTempDir() + "/sharded_parity.snap";
   EngineSnapshotParts parts;
   parts.lake = lake_;
   parts.engine = &sharded;
@@ -798,13 +799,13 @@ TEST_F(SnapshotTest, ShardedRoundTripKeepsLayoutAndRankings) {
 TEST(GoldenSnapshotTest, MalformedShardSectionsAreRejected) {
   MicroLake micro;
   SemanticDataLake lake(&micro.corpus, &micro.kg);
-  const std::string scratch = testing::TempDir() + "/shard_tamper.snap";
+  const std::string scratch = TestTempDir() + "/shard_tamper.snap";
   const std::string clean = BuildMicroSnapshot(micro, lake, scratch, 2);
   ASSERT_LT(FindSection(clean, SectionKind::kShardTableBounds),
             HeaderOf(clean).section_count);
 
   const auto try_load = [&](const std::string& bytes) {
-    const std::string path = testing::TempDir() + "/shard_tampered.snap";
+    const std::string path = TestTempDir() + "/shard_tampered.snap";
     WriteAll(path, bytes);
     auto loaded = LoadedEngine::Load(path, &lake);
     return loaded.ok() ? Status::Ok() : loaded.status();
@@ -904,14 +905,14 @@ TEST(GoldenSnapshotTest, MalformedTypeBitsetSectionsAreRejected) {
   // count must come back as clean errors, not out-of-bounds views.
   MicroLake micro;
   SemanticDataLake lake(&micro.corpus, &micro.kg);
-  const std::string scratch = testing::TempDir() + "/bitset_tamper.snap";
+  const std::string scratch = TestTempDir() + "/bitset_tamper.snap";
   const std::string clean = BuildMicroSnapshot(micro, lake, scratch);
   ASSERT_LT(FindSection(clean, SectionKind::kTypeBitsetBits),
             HeaderOf(clean).section_count)
       << "micro snapshot should carry bitset sections (4-type vocabulary)";
 
   const auto try_load = [&](const std::string& bytes) {
-    const std::string path = testing::TempDir() + "/bitset_tampered.snap";
+    const std::string path = TestTempDir() + "/bitset_tampered.snap";
     WriteAll(path, bytes);
     auto loaded = LoadedEngine::Load(path, &lake);
     return loaded.ok() ? Status::Ok() : loaded.status();
@@ -976,7 +977,7 @@ class QuantSnapshotTest : public ::testing::Test {
     store_ = std::make_unique<EmbeddingStore>(MicroEmbeddings());
     sim_ = std::make_unique<EmbeddingCosineSimilarity>(store_.get());
     engine_ = std::make_unique<SearchEngine>(lake_.get(), sim_.get());
-    path_ = testing::TempDir() + "/quant.snap";
+    path_ = TestTempDir() + "/quant.snap";
     EngineSnapshotParts parts;
     parts.lake = lake_.get();
     parts.engine = engine_.get();
@@ -989,7 +990,7 @@ class QuantSnapshotTest : public ::testing::Test {
   }
 
   Status TryLoadBytes(const std::string& bytes) {
-    const std::string scratch = testing::TempDir() + "/quant_tampered.snap";
+    const std::string scratch = TestTempDir() + "/quant_tampered.snap";
     WriteAll(scratch, bytes);
     auto loaded = LoadedEngine::Load(scratch, lake_.get());
     return loaded.ok() ? Status::Ok() : loaded.status();
